@@ -37,10 +37,13 @@ chaos:
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a
 ## regression in allocs/op shows up in the CI gate without a full
-## benchmark run.
+## benchmark run, plus the isolated Algorithm 1 partitioner (ns/set and
+## histogram visits/set, which rise if nodes are recounted level by
+## level).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotpathSubmit|BenchmarkBlockingMatch|BenchmarkPartitionLookup' \
 		-benchtime=100x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkBalancedPartition$$' -benchtime=3x -benchmem ./internal/core/
 
 ## bench-obs: measure the observability layer's throughput overhead and
 ## write BENCH_obs.json (budget <2%, gated by obsdiff-gate).

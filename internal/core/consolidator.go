@@ -129,7 +129,11 @@ func (e *Engine) applyPrefix(cut int) {
 // submitMu section to Phase C, so queries keep flowing — served by the
 // old index plus the overlay — during the long Phase B build.
 // consolidateMu serializes concurrent callers (explicit Consolidate vs
-// the background goroutine).
+// the background goroutine). A synchronous caller announces itself in
+// syncWaiting while it waits for the lock, and a background fold that
+// gets the lock first yields to it — as it does when a fold that ran
+// meanwhile already brought the overlay back under the threshold — so a
+// Consolidate waits for at most the one background fold in flight.
 //
 // bulk, if non-nil, is a batch of ops spliced into the staged log inside
 // Phase A and consolidated in the same pass (LoadSnapshot's path). Only
@@ -138,13 +142,22 @@ func (e *Engine) applyPrefix(cut int) {
 // — a snapshot-sized overlay would cost hundreds of MB of bit-sliced
 // groups and maps just to be discarded at the swap.
 func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
+	start := time.Now()
+	if !background {
+		e.syncWaiting.Add(1)
+	}
 	e.consolidateMu.Lock()
+	if !background {
+		e.syncWaiting.Add(-1)
+	}
 	defer e.consolidateMu.Unlock()
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	if background && (e.syncWaiting.Load() > 0 || !e.deltaOverThreshold()) {
+		return nil
+	}
 
-	start := time.Now()
 	if !background {
 		e.submitMu.Lock()
 		defer e.submitMu.Unlock()
@@ -224,8 +237,9 @@ func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
 		e.swapPauseNs.Store(int64(pause))
 		e.obs.Delta.AutoConsolidations.Add(1)
 		e.obs.Delta.SwapPause.Observe(int64(pause))
+	} else {
+		e.consolidateTime.Store(int64(time.Since(start)))
 	}
-	e.consolidateTime.Store(int64(time.Since(start)))
 	return degraded
 }
 
@@ -622,7 +636,8 @@ func (e *Engine) maybeKickConsolidator() {
 // consolidatorLoop is the background consolidator goroutine: woken by
 // maybeKickConsolidator, it re-checks the threshold and folds the
 // overlay into the main index until the overlay is back under it (churn
-// absorbed during a swap re-arms the loop immediately). Started by New
+// absorbed during a swap re-arms the loop immediately) or a synchronous
+// Consolidate is waiting, which folds everything anyway. Started by New
 // unless Config.DisableDeltaOverlay; stopped first thing in Close.
 func (e *Engine) consolidatorLoop() {
 	defer close(e.consolDone)
@@ -632,7 +647,7 @@ func (e *Engine) consolidatorLoop() {
 			return
 		case <-e.consolKick:
 		}
-		for e.deltaOverThreshold() {
+		for e.syncWaiting.Load() == 0 && e.deltaOverThreshold() {
 			err := e.consolidateOnce(true, nil)
 			if err != nil && !errors.Is(err, ErrDeviceDegraded) {
 				return // ErrClosed: the engine is shutting down

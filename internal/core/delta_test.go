@@ -297,6 +297,148 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 	}
 }
 
+// holdBackgroundFold stages db's sets from index from on until the
+// background consolidator takes consolidateMu, and parks that fold
+// before its swap by holding submitMu for reading (a fold's Phase C needs
+// it exclusively). It returns the index of the next unstaged set; the
+// caller releases the fold with e.submitMu.RUnlock. Nothing may submit
+// while the fold is parked.
+func holdBackgroundFold(t *testing.T, e *Engine, db *testDB, from int) int {
+	t.Helper()
+	e.submitMu.RLock()
+	deadline := time.Now().Add(20 * time.Second)
+	for e.consolidateMu.TryLock() {
+		e.consolidateMu.Unlock()
+		if from < len(db.sigs) {
+			e.AddSignature(db.sigs[from], db.keys[from][0])
+			from++
+		}
+		if time.Now().After(deadline) {
+			e.submitMu.RUnlock()
+			t.Fatal("background consolidator never started a fold")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return from
+}
+
+// consolidateWhileHeld runs a synchronous Consolidate against a parked
+// background fold: once the call waits for consolidateMu, it lets the
+// call wait hold longer, then releases the fold. It returns how long the
+// call was seen waiting before the release, and the Consolidate error.
+func consolidateWhileHeld(t *testing.T, e *Engine, hold time.Duration) (time.Duration, error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- e.Consolidate() }()
+	for e.syncWaiting.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	waiting := time.Now()
+	time.Sleep(hold)
+	held := time.Since(waiting)
+	e.submitMu.RUnlock()
+	return held, <-done
+}
+
+// TestDeltaSyncConsolidateSkipsQueuedFolds pins the hand-off between a
+// synchronous Consolidate and the background consolidator: a Consolidate
+// issued while a fold is in flight, with a staged log large enough to
+// re-arm the consolidator, waits for that one fold only — the loop does
+// not take the lock again ahead of it — and a background fold that gets
+// the lock after a synchronous one has nothing left to do and rebuilds
+// nothing.
+func TestDeltaSyncConsolidateSkipsQueuedFolds(t *testing.T) {
+	e, err := New(Config{
+		MaxPartitionSize: 50, BatchSize: 16, Threads: 2,
+		DeltaMaxSets: 16, DeltaMaxRatio: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	db := makeTestDB(3000, 5, 1, 163)
+	for i := 0; i < 500; i++ {
+		e.AddSignature(db.sigs[i], db.keys[i][0])
+	}
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	next := holdBackgroundFold(t, e, db, 500)
+	// Far more than the threshold stays staged behind the parked fold's
+	// cut, so the consolidator would fold again right after it.
+	for ; next < len(db.sigs); next++ {
+		e.AddSignature(db.sigs[next], db.keys[next][0])
+	}
+	before := e.Stats().AutoConsolidations
+	if _, err := consolidateWhileHeld(t, e, 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if folds := e.Stats().AutoConsolidations - before; folds > 1 {
+		t.Fatalf("Consolidate waited for %d background folds, want at most the one in flight", folds)
+	}
+	if n := e.PendingOps(); n != 0 {
+		t.Fatalf("%d ops pending after Consolidate", n)
+	}
+
+	// A background fold that takes the lock now finds the overlay empty.
+	idx, folds := e.idx.Load(), e.Stats().AutoConsolidations
+	if err := e.consolidateOnce(true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.idx.Load() != idx || e.Stats().AutoConsolidations != folds {
+		t.Fatal("background fold with an empty cut rebuilt the index")
+	}
+	verifyEngine(t, e, db, db.makeQueries(200, 164), false)
+}
+
+// TestDeltaLastConsolidateSyncOnly pins what Stats.LastConsolidate
+// reports: the synchronous call timed from entry, so the wait for a
+// background fold in flight counts, and no background fold overwrites it.
+func TestDeltaLastConsolidateSyncOnly(t *testing.T) {
+	e, err := New(Config{
+		MaxPartitionSize: 50, BatchSize: 16, Threads: 2,
+		DeltaMaxSets: 16, DeltaMaxRatio: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	db := makeTestDB(1000, 5, 1, 165)
+	for i := 0; i < 300; i++ {
+		e.AddSignature(db.sigs[i], db.keys[i][0])
+	}
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	next := holdBackgroundFold(t, e, db, 300)
+	held, err := consolidateWhileHeld(t, e, 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := e.Stats().LastConsolidate
+	if last < held {
+		t.Fatalf("LastConsolidate = %v, but the call waited %v for a background fold", last, held)
+	}
+
+	folds := e.Stats().AutoConsolidations
+	deadline := time.Now().Add(20 * time.Second)
+	for e.Stats().AutoConsolidations == folds {
+		if next < len(db.sigs) {
+			e.AddSignature(db.sigs[next], db.keys[next][0])
+			next++
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no background fold after Consolidate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := e.Stats().LastConsolidate; got != last {
+		t.Fatalf("background fold changed LastConsolidate from %v to %v", last, got)
+	}
+}
+
 // TestDeltaIncrementalFold drives sustained add/remove churn through
 // many background folds and pins the incremental Phase B path: folds of
 // a small delta must take the O(delta) splice (IncrementalFolds

@@ -55,6 +55,7 @@ type Engine struct {
 	// the background consolidator); the channels drive the background
 	// goroutine's kick/stop handshake (nil when the overlay is disabled).
 	consolidateMu sync.Mutex
+	syncWaiting   atomic.Int32 // synchronous consolidations waiting for consolidateMu
 	consolKick    chan struct{}
 	consolStop    chan struct{}
 	consolDone    chan struct{}
@@ -96,7 +97,7 @@ type Engine struct {
 	overflows       atomic.Int64
 	partsSearched   atomic.Int64
 
-	consolidateTime atomic.Int64 // nanoseconds
+	consolidateTime atomic.Int64 // last synchronous consolidation, from entry, nanoseconds
 
 	// Cumulative per-stage busy time (nanoseconds), for the stage
 	// breakdown diagnostic. Subset-match time covers dispatch to result

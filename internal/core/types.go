@@ -455,7 +455,9 @@ type Stats struct {
 	DeviceBytes []int64 `json:"device_bytes,omitempty"`
 
 	// LastConsolidate is the duration of the most recent Consolidate
-	// call (Fig 8).
+	// call (Fig 8), or of the fold that ends a LoadSnapshot, timed from
+	// entry: any wait for a background fold in flight counts. Background
+	// folds do not touch it; they report LastSwapPause.
 	LastConsolidate time.Duration `json:"last_consolidate_ns"`
 
 	// Cumulative busy time per pipeline stage, summed across workers:
