@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-pipeline bench-pipeline-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
+.PHONY: check build vet test perfbench-selftest race chaos bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-pipeline bench-pipeline-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
 
-## check: full CI gate — vet, build, tests, race detector on the
-## concurrency-heavy packages, the chaos (fault-injection) suite, a
+## check: full CI gate — vet, build, tests (including the perfbench
+## module's own), race detector on the concurrency-heavy packages, the chaos (fault-injection) suite, a
 ## short allocation-tracking benchmark pass over the hot path,
 ## reduced-scale smoke runs of the routing, match-kernel, tail-latency,
 ## and dispatch-pipeline experiments, the observability export smoke
 ## test, and the perf budgets on checked-in baselines.
-check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-pipeline-smoke bench-churn-smoke obs-smoke obsdiff-gate
+check: vet build test perfbench-selftest race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-pipeline-smoke bench-churn-smoke obs-smoke obsdiff-gate
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+## perfbench-selftest: perfbench is its own Go module, so the root
+## `go test ./...` never builds it; this compiles it against the
+## current engine API and runs its gate tests.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 ## race: the engine pipeline and the lock-free observability layer are
 ## the packages with real concurrency; -race on the full tree is slow.

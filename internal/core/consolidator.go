@@ -415,7 +415,7 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 		p := &old.parts[i]
 		idx.parts = append(idx.parts, partition{
 			mask: p.mask, off: p.off, n: p.n, dev: p.dev, grpOff: p.grpOff,
-			devOff: p.devOff, devGrpOff: p.devGrpOff, ext: p.ext,
+			devGrpOff: p.devGrpOff, ext: p.ext,
 		})
 	}
 
@@ -448,9 +448,7 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 				dev = pi % nDev
 			}
 			grpOff := uint32(len(idx.groups))
-			if !e.cfg.ScalarKernel {
-				idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
-			}
+			idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
 			idx.parts = append(idx.parts, partition{
 				mask: spec.mask, off: off, n: uint32(len(spec.members)),
 				dev: dev, grpOff: grpOff,
@@ -470,13 +468,13 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 // adoptDevices is the O(delta) Phase C: instead of freeing the old
 // generation's device state and re-uploading the whole index (a bus
 // copy proportional to the database, which would dominate the swap
-// pause), the new index adopts the old one's base shards, extent
+// pause), the new index adopts the old one's base group shards, extent
 // buffers, stream pools, and query-window rings — all still valid,
 // because the incremental build keeps every existing row's signature,
 // row order, and transposed groups verbatim — and uploads only the
-// partitions appended by this fold as one fresh extent buffer per
-// device. Key rewrites need no device traffic at all: keys live
-// host-side in the reduce stage. Returns false (having changed
+// groups of the partitions appended by this fold as one fresh extent
+// buffer per device. Key rewrites need no device traffic at all: keys
+// live host-side in the reduce stage. Returns false (having changed
 // nothing) when the old index has no usable device state or the extent
 // upload fails; the caller then takes the full release+attach path.
 // Called with the pipeline drained and submissions blocked.
@@ -485,68 +483,40 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	if nDev == 0 {
 		return true // CPU-only engine: nothing device-side to move
 	}
-	if len(old.devBufs) != nDev {
+	if len(old.devGroupBufs) != nDev {
 		return false // old generation degraded to CPU: retry a full attach
 	}
-	sliced := idx.groups != nil
-	baseExt := make([]int, nDev) // extents already carried by the old generation
-	for d := range baseExt {
-		if old.devExts != nil {
-			baseExt[d] = len(old.devExts[d])
-		}
-	}
 
-	// Upload the appended partitions, one extent per device. In
-	// replicate mode every device receives all new rows; partitioned
+	// Upload the appended partitions' groups, one extent per device. In
+	// replicate mode every device receives all new groups; partitioned
 	// placement gathers each device's own partitions, extent-relative.
-	newBufs := make([]*gpu.Buffer[bitvec.Vector], nDev)
-	newGrpBufs := make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
+	newBufs := make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
 	fail := func() bool {
 		for _, b := range newBufs {
-			b.Free()
-		}
-		for _, b := range newGrpBufs {
 			b.Free()
 		}
 		return false
 	}
 	for d, dev := range idx.devices {
-		var mine []bitvec.Vector
-		var mineGroups []bitvec.SlicedGroup
+		var mine []bitvec.SlicedGroup
 		for pi := len(old.parts); pi < len(idx.parts); pi++ {
 			p := &idx.parts[pi]
 			if !e.cfg.Replicate && p.dev != d {
 				continue
 			}
-			p.devOff = uint32(len(mine))
-			mine = append(mine, idx.sets[p.off:p.off+p.n]...)
-			if sliced {
-				p.devGrpOff = uint32(len(mineGroups))
-				nG := (int(p.n) + 63) / 64
-				mineGroups = append(mineGroups,
-					idx.groups[p.grpOff:int(p.grpOff)+nG]...)
-			}
+			p.devGrpOff = uint32(len(mine))
+			mine = append(mine, idx.groups[p.grpOff:int(p.grpOff)+p.nGroups()]...)
 		}
 		if len(mine) == 0 {
 			continue // pure key-substitution fold: no device traffic at all
 		}
-		buf, err := gpu.Alloc[bitvec.Vector](dev, len(mine))
+		buf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(mine))
 		if err != nil {
 			return fail()
 		}
 		newBufs[d] = buf
 		if err := buf.CopyToDevice(0, mine); err != nil {
 			return fail()
-		}
-		if sliced {
-			gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(mineGroups))
-			if err != nil {
-				return fail()
-			}
-			newGrpBufs[d] = gbuf
-			if err := gbuf.CopyToDevice(0, mineGroups); err != nil {
-				return fail()
-			}
 		}
 	}
 	for pi := len(old.parts); pi < len(idx.parts); pi++ {
@@ -560,7 +530,10 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 			// non-empty), so every new partition's device has an extent.
 			return fail()
 		}
-		p.ext = uint32(baseExt[d] + 1)
+		p.ext = 1 // the extents carried over from the old generation come first
+		if old.devGrpExts != nil {
+			p.ext += uint32(len(old.devGrpExts[d]))
+		}
 	}
 
 	// The uploads landed; from here the adoption cannot fail. Fence the
@@ -568,23 +541,14 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	// be enqueueing stream operations — safe, since every buffer they
 	// reference is carried over, not freed) and steal its device state.
 	old.dispatching.Wait()
-	idx.devBufs, old.devBufs = old.devBufs, nil
 	idx.devGroupBufs, old.devGroupBufs = old.devGroupBufs, nil
-	idx.devExts, old.devExts = old.devExts, nil
 	idx.devGrpExts, old.devGrpExts = old.devGrpExts, nil
-	if idx.devExts == nil {
-		idx.devExts = make([][]*gpu.Buffer[bitvec.Vector], nDev)
-	}
 	if idx.devGrpExts == nil {
 		idx.devGrpExts = make([][]*gpu.Buffer[bitvec.SlicedGroup], nDev)
 	}
-	for d := range newBufs {
-		if newBufs[d] == nil {
-			continue
-		}
-		idx.devExts[d] = append(idx.devExts[d], newBufs[d])
-		if sliced {
-			idx.devGrpExts[d] = append(idx.devGrpExts[d], newGrpBufs[d])
+	for d, b := range newBufs {
+		if b != nil {
+			idx.devGrpExts[d] = append(idx.devGrpExts[d], b)
 		}
 	}
 	idx.windows, old.windows = old.windows, nil

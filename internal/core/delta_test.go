@@ -12,28 +12,21 @@ import (
 	"tagmatch/internal/gpu"
 )
 
-// deltaEngineVariants returns the kernel-flavor × device matrix the
-// live-update contract is pinned on: CPU fallback, GPU bit-sliced, and
-// GPU scalar. The acceptance criterion requires add/remove visibility to
-// hold on all three.
+// deltaEngineVariants returns the execution paths the live-update
+// contract is pinned on: the CPU host match and the GPU bit-sliced
+// kernel. Add/remove visibility must hold on both; the scalar kernel
+// survives only as a test oracle, held to pair-for-pair parity with the
+// sliced one by the kernel differential tests.
 func deltaEngineVariants(t *testing.T, base Config) map[string]*Engine {
 	t.Helper()
-	variants := map[string]struct {
-		gpus   int
-		scalar bool
-	}{
-		"cpu":        {0, false},
-		"gpu-sliced": {2, false},
-		"gpu-scalar": {2, true},
-	}
+	variants := map[string]int{"cpu": 0, "gpu-sliced": 2}
 	out := make(map[string]*Engine, len(variants))
-	for name, v := range variants {
+	for name, gpus := range variants {
 		cfg := base
-		cfg.ScalarKernel = v.scalar
-		for i := 0; i < v.gpus; i++ {
+		for i := 0; i < gpus; i++ {
 			cfg.Devices = append(cfg.Devices, newTestGPU(t, 2))
 		}
-		if v.gpus > 0 {
+		if gpus > 0 {
 			cfg.StreamsPerDevice = 2
 			cfg.Replicate = true
 		}
@@ -241,9 +234,11 @@ func TestDeltaTombstoneMultiset(t *testing.T) {
 
 // TestDeltaBackgroundConsolidate forces the auto-consolidation
 // threshold low and verifies the background goroutine folds the overlay
-// into the main index without any explicit Consolidate call: pending ops
-// drain to zero, the auto-consolidation counter advances, and every key
-// stays matchable throughout.
+// into the main index without any explicit Consolidate call: the
+// auto-consolidation counter advances, the overlay settles back under
+// its threshold with no fold in flight, and every key stays matchable
+// throughout. A leftover suffix below DeltaMaxSets is by design never
+// folded; it keeps serving through the overlay.
 func TestDeltaBackgroundConsolidate(t *testing.T) {
 	e, err := New(Config{
 		MaxPartitionSize: 50, BatchSize: 16, Threads: 2,
@@ -278,22 +273,38 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		st := e.Stats()
-		if st.AutoConsolidations >= 1 && e.PendingOps() == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background consolidator never drained: %d auto-consolidations, %d pending",
-				st.AutoConsolidations, e.PendingOps())
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitConsolidatorSettled(t, e)
+	if n := e.PendingOps(); n >= 16 {
+		t.Fatalf("%d ops left unfolded, want fewer than DeltaMaxSets", n)
 	}
 
 	verifyEngine(t, e, db, db.makeQueries(200, 158), false)
 	if st := e.Stats(); st.LastSwapPause <= 0 {
 		t.Fatalf("LastSwapPause = %v, want > 0", st.LastSwapPause)
+	}
+}
+
+// waitConsolidatorSettled waits until the background consolidator has
+// folded at least once and settled: with no fold in flight (checked
+// while holding consolidateMu) the overlay is under its threshold, so
+// no further fold starts until more ops are staged. The caller must
+// not stage ops concurrently.
+func waitConsolidatorSettled(t *testing.T, e *Engine) {
+	t.Helper()
+	settled := func() bool {
+		if e.Stats().AutoConsolidations < 1 || !e.consolidateMu.TryLock() {
+			return false
+		}
+		defer e.consolidateMu.Unlock()
+		return !e.deltaOverThreshold()
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for !settled() {
+		if time.Now().After(deadline) {
+			t.Fatalf("background consolidator never settled: %d auto-consolidations, %d pending",
+				e.Stats().AutoConsolidations, e.PendingOps())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -141,13 +141,16 @@ type dbEntry struct {
 // index is the consolidated, immutable matching state (the dirty-batch
 // bookkeeping below is the one mutable part, guarded by its own mutex).
 type index struct {
-	sets []bitvec.Vector // flat tagset table, partition-major, sorted within partitions
+	// sets is the flat tagset table, partition-major, sorted within
+	// partitions. It stays host-side: the incremental fold, snapshots,
+	// tombstone checks and the group build read it, but no kernel does.
+	sets []bitvec.Vector
 	// groups is the column-transposed mirror of sets for the bit-sliced
 	// subset-match kernel: partition-major ⌈n/64⌉-group runs, local set
 	// i of a partition in lane i%64 of group grpOff+i/64 (see
-	// partition.grpOff). Nil when Config.ScalarKernel disables the
-	// sliced flavor. The host copy also serves the CPU execution path
-	// and the overflow/fault fallback.
+	// partition.grpOff). It is the only device-resident copy of the
+	// index; the host copy serves the CPU execution path and the
+	// overflow/fault fallback.
 	groups   []bitvec.SlicedGroup
 	keyOff   []uint32 // CSR offsets into keys; len(sets)+1
 	keys     []Key
@@ -169,17 +172,15 @@ type index struct {
 	dirtySpare []uint32
 
 	devices      []*gpu.Device
-	devBufs      []*gpu.Buffer[bitvec.Vector]
-	devGroupBufs []*gpu.Buffer[bitvec.SlicedGroup] // transposed index per device (nil per entry when sliced kernel disabled)
+	devGroupBufs []*gpu.Buffer[bitvec.SlicedGroup] // transposed index per device
 
-	// devExts/devGrpExts hold the per-device extent buffers appended by
-	// incremental folds: devExts[d][e-1] backs the partitions with
-	// dev==d, ext==e. The base buffers above hold every row uploaded by
-	// the last full build; an incremental swap carries them (and the
+	// devGrpExts holds the per-device extent buffers appended by
+	// incremental folds: devGrpExts[d][e-1] backs the partitions with
+	// dev==d, ext==e. The base buffers above hold every group uploaded
+	// by the last full build; an incremental swap carries them (and the
 	// streams and windows below) over from the previous generation
 	// untouched and uploads only these extents — the zero-drain pause is
 	// drain + O(delta) copy, never O(database) (see adoptDevices).
-	devExts    [][]*gpu.Buffer[bitvec.Vector]
 	devGrpExts [][]*gpu.Buffer[bitvec.SlicedGroup]
 
 	streams    chan *streamSlot   // replicated mode: shared slot pool
@@ -519,7 +520,7 @@ func (e *Engine) PendingOps() int {
 // Consolidate synchronously applies all staged operations and rebuilds
 // the index: the balanced partitioning of Algorithm 1, lexicographic
 // sorting within partitions, the partition table, the key table, and
-// the device-resident tagset tables. It drains in-flight queries first
+// the device-resident transposed index. It drains in-flight queries first
 // and blocks new submissions for the full rebuild — the stop-the-world
 // form, kept as the explicit bulk-load API and as the ablation baseline
 // for the background consolidator (which runs the same rebuild but
@@ -557,11 +558,7 @@ func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) 
 	// arrays rather than copying them); once the slack is gone, append's
 	// own growth re-establishes headroom for the folds that follow.
 	idx.sets = make([]bitvec.Vector, 0, len(sigs)+len(sigs)/8+1024)
-	if !e.cfg.ScalarKernel && len(sigs) > 0 {
-		// idx.groups stays nil for an empty build — it doubles as the
-		// "sliced kernel in use" sentinel.
-		idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
-	}
+	idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
 	idx.keyOff = make([]uint32, 1, len(sigs)+len(sigs)/8+1025)
 	idx.parts = make([]partition, len(specs))
 	idx.locks = make([]sync.Mutex, len(specs))
@@ -585,14 +582,11 @@ func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) 
 			dev = pi % nDev
 		}
 		grpOff := uint32(len(idx.groups))
-		if !e.cfg.ScalarKernel {
-			// Column-transpose the partition for the sliced kernel. The
-			// lexicographic sort above doubles as the gate optimizer: it
-			// clusters similar signatures into the same 64-lane group,
-			// maximizing each group's intersection.
-			idx.groups = append(idx.groups,
-				bitvec.BuildSlicedGroups(idx.sets[off:])...)
-		}
+		// Column-transpose the partition for the sliced kernel. The
+		// lexicographic sort above doubles as the gate optimizer: it
+		// clusters similar signatures into the same 64-lane group,
+		// maximizing each group's intersection.
+		idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
 		idx.parts[pi] = partition{
 			mask:   spec.mask,
 			off:    off,
@@ -637,8 +631,6 @@ func (e *Engine) attachDevices(idx *index) error {
 		// the engine without a database.
 		idx.release()
 		idx.devices = nil
-		idx.devBufs = nil
-		idx.devGroupBufs = nil
 		idx.streams = nil
 		idx.devStreams = nil
 		return fmt.Errorf("%w: %w", ErrDeviceDegraded, err)
@@ -651,86 +643,43 @@ func (e *Engine) attachDevices(idx *index) error {
 // gate, 8 bytes each. Asserted against unsafe.Sizeof in the tests.
 const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 
-// uploadToDevices allocates and fills the device-resident tagset tables
-// and opens the stream pools with their per-stream batch buffers.
+// uploadToDevices allocates and fills the device-resident transposed
+// index and opens the stream pools with their per-stream batch buffers.
+// The groups are the only index copy a device holds: the kernel never
+// reads the row-major table, which stays host-side.
 func (e *Engine) uploadToDevices(idx *index) error {
 	nDev := len(idx.devices)
-	idx.devBufs = make([]*gpu.Buffer[bitvec.Vector], nDev)
 	idx.devGroupBufs = make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
-	// A full upload lays every row into the base shards; extent ids from
-	// an incrementally-built host index (whose adoption fell through)
-	// would otherwise point at buffers this index never had.
-	idx.devExts, idx.devGrpExts = nil, nil
+	// A full upload lays every group into the base shards; extent ids
+	// from an incrementally-built host index (whose adoption fell
+	// through) would otherwise point at buffers this index never had.
+	idx.devGrpExts = nil
 	for pi := range idx.parts {
 		idx.parts[pi].ext = 0
 	}
-
-	if e.cfg.Replicate {
-		// Full replication: every device holds the whole table (and its
-		// transposed mirror for the sliced kernel).
-		for d, dev := range idx.devices {
-			buf, err := gpu.Alloc[bitvec.Vector](dev, len(idx.sets))
-			if err != nil {
-				return fmt.Errorf("uploading tagset table to %s: %w", dev.Name(), err)
-			}
-			if err := buf.CopyToDevice(0, idx.sets); err != nil {
-				return err
-			}
-			idx.devBufs[d] = buf
-			if idx.groups == nil {
-				continue
-			}
-			gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(idx.groups))
-			if err != nil {
-				return fmt.Errorf("uploading transposed index to %s: %w", dev.Name(), err)
-			}
-			if err := gbuf.CopyToDevice(0, idx.groups); err != nil {
-				return err
-			}
-			idx.devGroupBufs[d] = gbuf
-		}
-	} else {
-		// Partitioned placement: device d holds only its partitions,
-		// re-packed contiguously. Because partitions are assigned
-		// round-robin in partition order and the flat table is
-		// partition-major, each device's slice is a gather of ranges;
-		// the transposed mirror gathers whole-group runs the same way.
-		for d, dev := range idx.devices {
-			var mine []bitvec.Vector
-			var mineGroups []bitvec.SlicedGroup
+	for d, dev := range idx.devices {
+		// Full replication: every device holds the whole transposed
+		// index. Partitioned placement: device d holds only its
+		// partitions' whole-group runs, re-packed contiguously.
+		groups := idx.groups
+		if !e.cfg.Replicate {
+			groups = nil
 			for pi := range idx.parts {
-				if idx.parts[pi].dev != d {
+				p := &idx.parts[pi]
+				if p.dev != d {
 					continue
 				}
-				p := &idx.parts[pi]
-				p.devOff = uint32(len(mine))
-				mine = append(mine, idx.sets[p.off:p.off+p.n]...)
-				if idx.groups != nil {
-					p.devGrpOff = uint32(len(mineGroups))
-					nG := (int(p.n) + 63) / 64
-					mineGroups = append(mineGroups,
-						idx.groups[p.grpOff:int(p.grpOff)+nG]...)
-				}
+				p.devGrpOff = uint32(len(groups))
+				groups = append(groups, idx.groups[p.grpOff:int(p.grpOff)+p.nGroups()]...)
 			}
-			buf, err := gpu.Alloc[bitvec.Vector](dev, len(mine))
-			if err != nil {
-				return fmt.Errorf("uploading tagset shard to %s: %w", dev.Name(), err)
-			}
-			if err := buf.CopyToDevice(0, mine); err != nil {
-				return err
-			}
-			idx.devBufs[d] = buf
-			if idx.groups == nil {
-				continue
-			}
-			gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(mineGroups))
-			if err != nil {
-				return fmt.Errorf("uploading transposed shard to %s: %w", dev.Name(), err)
-			}
-			if err := gbuf.CopyToDevice(0, mineGroups); err != nil {
-				return err
-			}
-			idx.devGroupBufs[d] = gbuf
+		}
+		gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(groups))
+		if err != nil {
+			return fmt.Errorf("uploading transposed index to %s: %w", dev.Name(), err)
+		}
+		idx.devGroupBufs[d] = gbuf
+		if err := gbuf.CopyToDevice(0, groups); err != nil {
+			return err
 		}
 	}
 
@@ -774,7 +723,7 @@ func (e *Engine) uploadToDevices(idx *index) error {
 			// §3.3.2 (generalized), letting batch n+1's upload + kernel
 			// run behind batch n's result transfer on the same stream.
 			for k := 0; k < depth; k++ {
-				sl := &streamSlot{sc: sc, hdrHost: make([]uint32, resHeaderWords)}
+				sl := newStreamSlot(e, sc)
 				sl.qbuf, err = gpu.Alloc[bitvec.Vector](dev, e.cfg.BatchSize)
 				if err == nil {
 					sl.qidx, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize)
@@ -832,20 +781,10 @@ func (idx *index) release() {
 		w.buf.Free()
 	}
 	idx.windows = nil
-	for _, b := range idx.devBufs {
-		b.Free()
-	}
-	idx.devBufs = nil
 	for _, b := range idx.devGroupBufs {
 		b.Free()
 	}
 	idx.devGroupBufs = nil
-	for _, exts := range idx.devExts {
-		for _, b := range exts {
-			b.Free()
-		}
-	}
-	idx.devExts = nil
 	for _, exts := range idx.devGrpExts {
 		for _, b := range exts {
 			b.Free()
@@ -946,7 +885,6 @@ func (e *Engine) Stats() Stats {
 		RouteMergeLocks:     e.obs.Routing.MergeLockAcqs.Load(),
 		RouteAppends:        e.obs.Routing.MergedAppends.Load(),
 		KernelSliced:        e.obs.Kernel.SlicedBatches.Load(),
-		KernelScalar:        e.obs.Kernel.ScalarBatches.Load(),
 		KernelGateChecks:    e.obs.Kernel.GateChecks.Load(),
 		KernelGatePruned:    e.obs.Kernel.GatePruned.Load(),
 		KernelGroupScans:    e.obs.Kernel.GroupScans.Load(),

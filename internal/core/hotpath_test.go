@@ -8,9 +8,10 @@ import (
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
+	"tagmatch/internal/gpu"
 )
 
-// hotpathEngine builds a consolidated CPU-only engine over nSets small
+// hotpathEngine builds a consolidated engine over nSets small
 // tag sets, together with query signatures that each match matchWidth of
 // those sets (matchWidth 0 builds queries that match nothing).
 func hotpathEngine(t testing.TB, cfg Config, nSets, matchWidth int) (*Engine, []bitvec.Vector) {
@@ -190,6 +191,27 @@ func BenchmarkHotpathSubmit(b *testing.B) {
 func BenchmarkBlockingMatch(b *testing.B) {
 	e, queries := hotpathEngine(b, Config{
 		MaxPartitionSize: 128, BatchSize: 64, Threads: 4,
+	}, 4096, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.MatchSignature(queries[i%len(queries)], false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBlockingMatchGPU is BenchmarkBlockingMatch on two simulated
+// GPUs: every partition batch takes the stream slot's packed dispatch,
+// so allocs/op and B/op track what one GPU batch allocates.
+func BenchmarkBlockingMatchGPU(b *testing.B) {
+	devs := []*gpu.Device{gpu.New(gpu.Config{Workers: 2}), gpu.New(gpu.Config{Workers: 2})}
+	for _, d := range devs {
+		b.Cleanup(d.Close)
+	}
+	e, queries := hotpathEngine(b, Config{
+		MaxPartitionSize: 128, BatchSize: 64, Threads: 4,
+		Devices: devs, StreamsPerDevice: 4, Replicate: true,
 	}, 4096, 4)
 	b.ReportAllocs()
 	b.ResetTimer()

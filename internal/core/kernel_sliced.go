@@ -9,9 +9,10 @@ import (
 	"tagmatch/internal/obs"
 )
 
-// Bit-sliced subset-match kernel. The scalar kernel (kernel.go) assigns
-// one tag set per thread and spends three word operations per (set,
-// query) subset check — 192 operations to test 64 sets. The sliced
+// Bit-sliced subset-match kernel, the only kernel the engine runs. The
+// scalar kernel (kernel.go, a reference oracle) assigns one tag set
+// per thread and spends three word operations per (set, query) subset
+// check — 192 operations to test 64 sets. The sliced
 // kernel instead reads the partition's sets column-transposed
 // (bitvec.SlicedGroup: 64 sets per group), assigns one group per
 // thread, and tests all 64 lanes at once: OR-ing the used column words
@@ -20,9 +21,9 @@ import (
 // common-prefix block pre-filter becomes a per-group gate — one
 // three-word test against the group's signature intersection discards
 // 64 sets before any column is touched. Matches leave through the same
-// packed atomic-append result path (§3.3.1) as the scalar kernel, so
+// packed atomic-append result path (§3.3.1) as the scalar kernel, and
 // the two flavors are pair-for-pair interchangeable (differential- and
-// fuzz-tested; Config.ScalarKernel selects the scalar baseline).
+// fuzz-tested against the scalar oracles).
 
 // slicedGrid returns the launch geometry for the sliced kernels: one
 // thread per 64-lane group, with max(1, blockDim/64) groups per block
@@ -103,14 +104,51 @@ func matchGroup(
 	}
 }
 
-// slicedMatchKernelAt returns the bit-sliced subset-match kernel for
-// one batch over one partition, the transposed counterpart of
-// matchKernelAt. groups is the device-resident transposed index (full
-// index in replicated mode, the device's shard otherwise); the kernel
-// reads the slice [grpOff, grpOff+nGroups). globalBase is the global
-// set id of the partition's first set; gate enables the per-group
-// intersection pre-filter (Config.DisablePrefilter turns it off, the
-// same ablation switch as the scalar prefix test).
+// slicedLaunch is the argument block of one bit-sliced subset-match
+// kernel launch for one batch over one partition, the transposed
+// counterpart of matchKernelAt; run is the kernel. groups is the
+// device-resident transposed index (full index in replicated mode, the
+// device's shard or an extent otherwise); the kernel reads the slice
+// [grpOff, grpOff+nGroups). globalBase is the global set id of the
+// partition's first set; gate enables the per-group intersection
+// pre-filter (Config.DisablePrefilter turns it off). A stream slot
+// keeps one slicedLaunch and its bound run method for its whole life,
+// so a dispatch fills the block instead of allocating a kernel closure.
+type slicedLaunch struct {
+	groups                      *gpu.Buffer[bitvec.SlicedGroup]
+	grpOff, nGroups, globalBase int
+	qsrc                        querySrc
+	hdr                         *gpu.Buffer[uint32]
+	pairs                       *gpu.Buffer[byte]
+	maxPairs                    int
+	gate                        bool
+	pf                          *obs.PartitionCounters
+	kc                          *obs.KernelCounters
+}
+
+func (l *slicedLaunch) run(b *gpu.BlockCtx) {
+	gs := l.groups.Data()[l.grpOff : l.grpOff+l.nGroups]
+	qs := l.qsrc.gather()
+	h, out := l.hdr.Data(), l.pairs.Data()
+	if b.FirstGlobalID() >= len(gs) {
+		return
+	}
+	var st slicedStats
+	b.Threads(func(tid int) {
+		g := b.GlobalID(tid)
+		if g >= len(gs) {
+			return
+		}
+		matchGroup(&gs[g], uint32(l.globalBase+g*64), qs, l.gate, &st,
+			func(qi uint8, setID uint32) {
+				emitPacked(b, h, out, l.maxPairs, qi, setID)
+			})
+	})
+	st.flush(l.pf, l.kc)
+}
+
+// slicedMatchKernelAt returns the bit-sliced kernel for a one-off
+// launch (see slicedLaunch).
 func slicedMatchKernelAt(
 	groups *gpu.Buffer[bitvec.SlicedGroup],
 	grpOff, nGroups, globalBase int,
@@ -122,31 +160,15 @@ func slicedMatchKernelAt(
 	pf *obs.PartitionCounters,
 	kc *obs.KernelCounters,
 ) gpu.KernelFunc {
-	return func(b *gpu.BlockCtx) {
-		gs := groups.Data()[grpOff : grpOff+nGroups]
-		qs := qsrc.gather()
-		h, out := hdr.Data(), pairs.Data()
-		if b.FirstGlobalID() >= len(gs) {
-			return
-		}
-		var st slicedStats
-		b.Threads(func(tid int) {
-			g := b.GlobalID(tid)
-			if g >= len(gs) {
-				return
-			}
-			matchGroup(&gs[g], uint32(globalBase+g*64), qs, gate, &st,
-				func(qi uint8, setID uint32) {
-					emitPacked(b, h, out, maxPairs, qi, setID)
-				})
-		})
-		st.flush(pf, kc)
+	l := &slicedLaunch{
+		groups: groups, grpOff: grpOff, nGroups: nGroups, globalBase: globalBase,
+		qsrc: qsrc, hdr: hdr, pairs: pairs, maxPairs: maxPairs, gate: gate, pf: pf, kc: kc,
 	}
+	return l.run
 }
 
 // slicedSplitMatchKernelAt is the sliced kernel with the split output
-// layout (two separate id arrays; the ablation §3.3.1 rejects), the
-// transposed counterpart of splitMatchKernelAt.
+// layout (two separate id arrays; the ablation §3.3.1 rejects).
 func slicedSplitMatchKernelAt(
 	groups *gpu.Buffer[bitvec.SlicedGroup],
 	grpOff, nGroups, globalBase int,
@@ -187,10 +209,8 @@ func slicedSplitMatchKernelAt(
 }
 
 // cpuMatchBatchSliced runs the bit-sliced subset match for a whole
-// batch on the host: the CPU-only execution path — and the
-// overflow/fault fallback — of an engine configured for the sliced
-// kernel flavor. Pair-for-pair equivalent to cpuMatchBatch, which
-// remains the scalar baseline.
+// batch on the host: the CPU-only execution path and the overflow/fault
+// fallback. Pair-for-pair equivalent to the scalar cpuMatchBatch oracle.
 func cpuMatchBatchSliced(
 	groups []bitvec.SlicedGroup, // the partition's slice of the transposed index
 	globalBase int, // global set id of the partition's first set

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 	"unsafe"
 
 	"tagmatch/internal/bitvec"
+	"tagmatch/internal/bloom"
 	"tagmatch/internal/gpu"
 	"tagmatch/internal/obs"
 )
@@ -250,64 +249,40 @@ func TestCPUMatchBatchSlicedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestEngineScalarKernelAblation runs the same workload through a
-// sliced-kernel engine and a Config.ScalarKernel engine (both on GPU)
-// and requires identical answers plus correctly attributed flavor
-// counters.
-func TestEngineScalarKernelAblation(t *testing.T) {
+// TestEngineSlicedMatchesBruteForce runs a clustered shared-vocabulary
+// workload through a GPU engine — whose only kernel is the bit-sliced
+// one — and requires every answer to equal the brute-force signature
+// reference, with the kernel telemetry attributed to the sliced flavor.
+func TestEngineSlicedMatchesBruteForce(t *testing.T) {
 	sets, queries := sharedVocabWorkload(8000, 80, 71)
-	keyOf := func(i int) Key { return Key(i + 1) }
-
-	build := func(scalar bool) *Engine {
-		dev := newTestGPU(t, 4)
-		e, err := New(Config{
-			MaxPartitionSize: 400, BatchSize: 32, Threads: 2, ScalarKernel: scalar,
-			Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		for i, s := range sets {
-			e.AddSet(s, keyOf(i))
-		}
-		if err := e.Consolidate(); err != nil {
-			t.Fatal(err)
-		}
-		return e
+	db := &testDB{}
+	for i, s := range sets {
+		db.sigs = append(db.sigs, bloom.Signature(s))
+		db.keys = append(db.keys, []Key{Key(i + 1)})
+	}
+	qsigs := make([]bitvec.Vector, len(queries))
+	for i, q := range queries {
+		qsigs[i] = bloom.Signature(q)
 	}
 
-	sliced := build(false)
-	scalar := build(true)
-	for _, q := range queries {
-		a, err := sliced.Match(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := scalar.Match(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("flavor mismatch for query %s: sliced %d keys, scalar %d keys", q, len(a), len(b))
-		}
+	e, err := New(Config{
+		MaxPartitionSize: 400, BatchSize: 32, Threads: 2,
+		Devices: []*gpu.Device{newTestGPU(t, 4)}, StreamsPerDevice: 2, Replicate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer e.Close()
+	db.load(e)
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	verifyEngine(t, e, db, qsigs, false)
+	verifyEngine(t, e, db, qsigs, true)
 
-	ss, cs := sliced.Stats(), scalar.Stats()
-	if ss.KernelSliced == 0 || ss.KernelScalar != 0 {
-		t.Fatalf("sliced engine counters: sliced=%d scalar=%d", ss.KernelSliced, ss.KernelScalar)
-	}
-	if cs.KernelScalar == 0 || cs.KernelSliced != 0 {
-		t.Fatalf("scalar engine counters: sliced=%d scalar=%d", cs.KernelSliced, cs.KernelScalar)
-	}
-	if ss.KernelGateChecks == 0 || ss.KernelColumnsWalked == 0 {
-		t.Fatalf("sliced engine recorded no kernel telemetry: %+v", ss)
-	}
-	// The ablation engine must not pay for the transposed mirror.
-	if cs.KernelGateChecks != 0 || cs.KernelColumnsWalked != 0 {
-		t.Fatalf("scalar engine recorded sliced telemetry: %+v", cs)
+	st := e.Stats()
+	if st.KernelSliced == 0 || st.KernelGateChecks == 0 || st.KernelColumnsWalked == 0 {
+		t.Fatalf("sliced kernel recorded no telemetry: %+v", st)
 	}
 }
 
@@ -315,54 +290,52 @@ func TestEngineScalarKernelAblation(t *testing.T) {
 // signature: it lands in a maskless partition whose group gate is the
 // zero vector (passes every query), and must match everything.
 func TestEngineMasklessPartitionSliced(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		e, err := New(Config{MaxPartitionSize: 64, BatchSize: 8, Threads: 1, ScalarKernel: scalar})
+	e, err := New(Config{MaxPartitionSize: 64, BatchSize: 8, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.AddSignature(bitvec.Vector{}, 99) // empty signature → empty partition mask
+	sigs := randomSets(200, 4, 31)
+	for i, s := range sigs {
+		e.AddSignature(s, Key(i+1))
+	}
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range randomSets(30, 9, 32) {
+		got, err := e.MatchSignature(q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.AddSignature(bitvec.Vector{}, 99) // empty signature → empty partition mask
-		sigs := randomSets(200, 4, 31)
+		found := false
+		for _, k := range got {
+			if k == 99 {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("query %d: empty set missing from %d keys", qi, len(got))
+		}
+		// Cross-check the full answer against brute force.
+		want := map[Key]bool{99: true}
 		for i, s := range sigs {
-			e.AddSignature(s, Key(i+1))
-		}
-		if err := e.Consolidate(); err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range randomSets(30, 9, 32) {
-			got, err := e.MatchSignature(q, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, k := range got {
-				if k == 99 {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("scalar=%v query %d: empty set missing from %d keys", scalar, qi, len(got))
-			}
-			// Cross-check the full answer against brute force.
-			want := map[Key]bool{99: true}
-			for i, s := range sigs {
-				if s.SubsetOf(q) {
-					want[Key(i+1)] = true
-				}
-			}
-			gotSet := map[Key]bool{}
-			for _, k := range got {
-				gotSet[k] = true
-			}
-			if len(gotSet) != len(want) {
-				t.Fatalf("scalar=%v query %d: %d keys, want %d", scalar, qi, len(gotSet), len(want))
-			}
-			for k := range want {
-				if !gotSet[k] {
-					t.Fatalf("scalar=%v query %d: key %d missing", scalar, qi, k)
-				}
+			if s.SubsetOf(q) {
+				want[Key(i+1)] = true
 			}
 		}
-		e.Close()
+		gotSet := map[Key]bool{}
+		for _, k := range got {
+			gotSet[k] = true
+		}
+		if len(gotSet) != len(want) {
+			t.Fatalf("query %d: %d keys, want %d", qi, len(gotSet), len(want))
+		}
+		for k := range want {
+			if !gotSet[k] {
+				t.Fatalf("query %d: key %d missing", qi, k)
+			}
+		}
 	}
 }
 

@@ -169,7 +169,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		gpu.CopyToDeviceAsync(stream, qbuf, 0, it.qs)
 		// Header reset fused into the launch: no separate tiny H2D copy.
 		if sliced {
-			nG := (int(p.n) + 63) / 64
+			nG := p.nGroups()
 			stream.LaunchZeroedAsync(slicedGrid(nG, blockDim), hdr, resHeaderWords,
 				slicedMatchKernelAt(groupsBuf, int(p.grpOff), nG, int(p.off),
 					qsrc, hdr, pairs, maxPairs, true, nil, &kc))

@@ -287,6 +287,27 @@ type streamSlot struct {
 	// its attribution tag and attaches device-op spans to them, keeping
 	// interleaved batches distinguishable.
 	traced []*obs.Trace
+
+	// The attempt in flight, written by gpuDispatchAttempt before any
+	// op is enqueued and read by the callbacks below; complete copies
+	// what it needs before releasing the slot to the next batch. chain
+	// is the attempt chain's own trace list (traced is the slot's copy,
+	// overwritten by the next batch); win is nil for a dense upload.
+	e       *Engine
+	idx     *index
+	batch   *openBatch
+	attempt int
+	hedge   bool
+	chain   []*obs.Trace
+	win     *queryWindow
+	launch  slicedLaunch
+
+	// Bound once by newStreamSlot: launch.run and the packed path's
+	// stream callbacks.
+	kernel      gpu.KernelFunc
+	onHeaderFn  func(error)
+	resultDstFn func() ([]byte, int)
+	completeFn  func(error)
 }
 
 func (sl *streamSlot) free() {
@@ -296,6 +317,100 @@ func (sl *streamSlot) free() {
 	sl.pairs.Free()
 	sl.splitQ.Free()
 	sl.splitS.Free()
+}
+
+// newStreamSlot returns an empty slot of sc with its stream callbacks
+// bound once, so a dispatch through the slot allocates no closures.
+func newStreamSlot(e *Engine, sc *streamCtx) *streamSlot {
+	sl := &streamSlot{e: e, sc: sc, hdrHost: make([]uint32, resHeaderWords)}
+	sl.kernel = sl.launch.run
+	sl.onHeaderFn = sl.onHeader
+	sl.resultDstFn = sl.resultDst
+	sl.completeFn = sl.complete
+	return sl
+}
+
+// release returns the slot to its pool. The slot may be reacquired at
+// once, so the caller must not read its attempt fields afterwards.
+func (sl *streamSlot) release() {
+	sl.sc.inflight.Add(-1)
+	if sl.e.cfg.Replicate {
+		sl.idx.streams <- sl
+	} else {
+		sl.idx.devStreams[sl.sc.dev] <- sl
+	}
+}
+
+// settleWin resolves the window pins/pending states exactly once, in
+// the first error-consuming callback of the batch — by which point the
+// kernel has provably finished (FIFO order) and the fate of the fills
+// is known.
+func (sl *streamSlot) settleWin(failed bool) {
+	if sl.win != nil {
+		sl.win.settle(sl, failed)
+	}
+}
+
+// onHeader is the packed path's header callback: it reads the
+// device-side pair count and overflow flag and stages the outcome on
+// the slot for complete.
+func (sl *streamSlot) onHeader(opErr error) {
+	sl.settleWin(opErr != nil)
+	if opErr != nil {
+		sl.fault = opErr
+		return
+	}
+	e := sl.e
+	rawCount := atomic.LoadUint32(&sl.hdr.Data()[0])
+	rawOver := atomic.LoadUint32(&sl.hdr.Data()[1])
+	count, overflow := clampCount(rawCount, rawOver, e.cfg.MaxPairsPerBatch)
+	res := e.pools.getResult()
+	res.idx, res.batch, res.count, res.overflow = sl.idx, sl.batch, count, overflow
+	if !overflow {
+		res.kind = payloadPacked
+	}
+	sl.res = res
+}
+
+// resultDst resolves the gated result copy's exact-size destination at
+// the FIFO head: nothing to copy for an empty, overflowed or failed
+// batch.
+func (sl *streamSlot) resultDst() ([]byte, int) {
+	res := sl.res
+	if res == nil || res.overflow || res.count == 0 {
+		return nil, 0
+	}
+	res.packed = growBytes(res.packed, ((res.count+3)/4)*bytesPerGroup)
+	return res.packed, 0
+}
+
+// complete is the batch's final stream callback: it consumes the
+// result-transfer segment's error, takes the outcome staged on the slot
+// by the header callback, releases the slot, and routes to the reduce
+// stage or the fault machinery. Every terminal path of the attempt
+// chain runs through here exactly once (except the size-then-copy
+// ablation, which completes inside its single callback).
+func (sl *streamSlot) complete(opErr error) {
+	e, idx, b, dev := sl.e, sl.idx, sl.batch, sl.sc.dev
+	attempt, hedge, traced := sl.attempt, sl.hedge, sl.chain
+	res, fault := sl.res, sl.fault
+	sl.res, sl.fault = nil, nil
+	if fault == nil && opErr != nil {
+		if res != nil {
+			e.pools.putResult(res)
+		}
+		fault = opErr
+	}
+	if fault != nil {
+		sl.release()
+		e.batchFault(idx, b, dev, attempt, hedge, traced, fault)
+		return
+	}
+	e.batchOK(dev, b, hedge)
+	sl.release()
+	e.deliverResult(b, res, hedge)
+	e.batchUnref(b)
+	idx.dispatching.Done()
 }
 
 // streamOpsBuffer sizes a stream's op FIFO for pipelined dispatch: the
@@ -1302,55 +1417,22 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	dev := sc.dev
 	// Partitions appended by an incremental fold live in per-device
 	// extent buffers rather than the base shard of the last full upload;
-	// their devOff/devGrpOff are extent-relative in both placement modes.
-	buf := idx.devBufs[dev]
+	// their devGrpOff is extent-relative in both placement modes. The
+	// bit-sliced kernel walks the partition's transposed groups, one
+	// 64-set group per thread.
+	grpBuf := idx.devGroupBufs[dev]
 	if p.ext > 0 {
-		buf = idx.devExts[dev][p.ext-1]
-	}
-	partOff := int(p.off)
-	if !e.cfg.Replicate || p.ext > 0 {
-		partOff = int(p.devOff)
-	}
-	globalBase := int(p.off)
-	nQ := len(b.sigs)
-
-	// Kernel flavor: the bit-sliced kernel walks the partition's
-	// transposed groups (one 64-set group per thread); the scalar
-	// ablation keeps one set per thread. Both emit through the same
-	// result path and produce identical pairs.
-	sliced := !e.cfg.ScalarKernel && idx.groups != nil
-	nGroups := (int(p.n) + 63) / 64
-	var grpBuf *gpu.Buffer[bitvec.SlicedGroup]
-	if sliced {
-		grpBuf = idx.devGroupBufs[dev]
-		if p.ext > 0 {
-			grpBuf = idx.devGrpExts[dev][p.ext-1]
-		}
+		grpBuf = idx.devGrpExts[dev][p.ext-1]
 	}
 	grpOff := int(p.grpOff)
 	if !e.cfg.Replicate || p.ext > 0 {
 		grpOff = int(p.devGrpOff)
 	}
-	var grid gpu.Grid
-	if sliced {
-		grid = slicedGrid(nGroups, e.cfg.BlockDim)
-		e.obs.Kernel.SlicedBatches.Add(1)
-	} else {
-		grid = gpu.Grid{
-			Blocks:   (int(p.n) + e.cfg.BlockDim - 1) / e.cfg.BlockDim,
-			BlockDim: e.cfg.BlockDim,
-		}
-		e.obs.Kernel.ScalarBatches.Add(1)
-	}
-
-	release := func() {
-		sc.inflight.Add(-1)
-		if e.cfg.Replicate {
-			idx.streams <- sl
-		} else {
-			idx.devStreams[dev] <- sl
-		}
-	}
+	globalBase := int(p.off)
+	nGroups := p.nGroups()
+	nQ := len(b.sigs)
+	grid := slicedGrid(nGroups, e.cfg.BlockDim)
+	e.obs.Kernel.SlicedBatches.Add(1)
 
 	// Point the slot at this batch's sampled traces before any operation
 	// is enqueued (every op carries the slot as its attribution tag, so
@@ -1361,6 +1443,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	// recycled its queries.
 	sl.traced = append(sl.traced[:0], traced...)
 	sl.res, sl.fault = nil, nil
+	sl.idx, sl.batch, sl.attempt, sl.hedge, sl.chain = idx, b, attempt, hedge, traced
 
 	// Pipeline occupancy: how many batches share the stream right now.
 	occ := sc.inflight.Add(1)
@@ -1403,6 +1486,10 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	if win != nil && !useWin {
 		e.obs.Streams.WindowFallbacks.Add(1)
 	}
+	sl.win = nil
+	if useWin {
+		sl.win = win
+	}
 	e.obs.Streams.QuerySlots.Add(int64(nQ))
 	var qsrc querySrc
 	if useWin {
@@ -1424,63 +1511,19 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 			gpu.CopyToDeviceAsync(sc.stream, sl.qbuf, 0, b.sigs, sl)
 		}
 	}
-	// settleWin resolves the window pins/pending states exactly once, in
-	// the first error-consuming callback of the batch — by which point
-	// the kernel has provably finished (FIFO order) and the fate of the
-	// fills is known.
-	settleWin := func(failed bool) {
-		if useWin {
-			win.settle(sl, failed)
-		}
-	}
-	// complete is the batch's final stream callback: it consumes the
-	// result-transfer segment's error, takes the outcome staged on the
-	// slot by the header callback, releases the slot, and routes to the
-	// reduce stage or the fault machinery. Every terminal path of the
-	// attempt chain runs through here exactly once (except the ablation
-	// paths, which complete inside their single callback).
-	complete := func(opErr error) {
-		res, fault := sl.res, sl.fault
-		sl.res, sl.fault = nil, nil
-		if fault != nil {
-			release()
-			e.batchFault(idx, b, dev, attempt, hedge, traced, fault)
-			return
-		}
-		if opErr != nil {
-			if res != nil {
-				e.pools.putResult(res)
-			}
-			release()
-			e.batchFault(idx, b, dev, attempt, hedge, traced, opErr)
-			return
-		}
-		e.batchOK(dev, b, hedge)
-		release()
-		e.deliverResult(b, res, hedge)
-		e.batchUnref(b)
-		idx.dispatching.Done()
-	}
 
 	if e.cfg.SplitOutputLayout {
 		// Ablation: two separate id arrays, two result copies.
-		var kernel gpu.KernelFunc
-		if sliced {
-			kernel = slicedSplitMatchKernelAt(grpBuf,
-				grpOff, nGroups, globalBase, qsrc, sl.splitQ, sl.splitS,
-				e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-				e.partCounters(b.pid), &e.obs.Kernel)
-		} else {
-			kernel = splitMatchKernelAt(buf, partOff, int(p.n), globalBase,
-				qsrc, sl.splitQ, sl.splitS, e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-				e.partCounters(b.pid))
-		}
+		kernel := slicedSplitMatchKernelAt(grpBuf,
+			grpOff, nGroups, globalBase, qsrc, sl.splitQ, sl.splitS,
+			e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
+			e.partCounters(b.pid), &e.obs.Kernel)
 		sc.enqMu.Lock()
 		enqueueQueries()
 		sc.stream.LaunchZeroedAsync(grid, sl.splitQ, splitHeaderWords, kernel, sl)
 		gpu.CopyFromDeviceAsync(sc.stream, sl.splitQ, sl.hdrHost, 0, sl)
 		sc.stream.CallbackErr(func(opErr error) {
-			settleWin(opErr != nil)
+			sl.settleWin(opErr != nil)
 			if opErr != nil {
 				sl.fault = opErr
 				return
@@ -1510,7 +1553,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 			res.sIDs = growU32(res.sIDs, res.count)
 			return res.sIDs, 0
 		}, sl)
-		sc.stream.CallbackErr(complete)
+		sc.stream.CallbackErr(sl.completeFn)
 		sc.enqMu.Unlock()
 		return
 	}
@@ -1518,16 +1561,11 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	// Packed layout (§3.3.1). The device-side header reset is fused into
 	// the launch (LaunchZeroedAsync — the cudaMemsetAsync that used to be
 	// a separate tiny H2D copy now rides in the kernel prologue).
-	var kernel gpu.KernelFunc
-	if sliced {
-		kernel = slicedMatchKernelAt(grpBuf,
-			grpOff, nGroups, globalBase, qsrc, sl.hdr, sl.pairs,
-			e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-			e.partCounters(b.pid), &e.obs.Kernel)
-	} else {
-		kernel = matchKernelAt(buf, partOff, int(p.n), globalBase,
-			qsrc, sl.hdr, sl.pairs, e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-			e.partCounters(b.pid))
+	sl.launch = slicedLaunch{
+		groups: grpBuf, grpOff: grpOff, nGroups: nGroups, globalBase: globalBase,
+		qsrc: qsrc, hdr: sl.hdr, pairs: sl.pairs,
+		maxPairs: e.cfg.MaxPairsPerBatch, gate: !e.cfg.DisablePrefilter,
+		pf: e.partCounters(b.pid), kc: &e.obs.Kernel,
 	}
 
 	if e.cfg.SizeThenCopy {
@@ -1537,12 +1575,12 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		// batch, and no pipelining while the executor blocks).
 		sc.enqMu.Lock()
 		enqueueQueries()
-		sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
+		sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, sl.kernel, sl)
 		gpu.CopyFromDeviceAsync(sc.stream, sl.hdr, sl.hdrHost, 0, sl)
 		sc.stream.CallbackErr(func(opErr error) {
-			settleWin(opErr != nil)
+			sl.settleWin(opErr != nil)
 			if opErr != nil {
-				release()
+				sl.release()
 				e.batchFault(idx, b, dev, attempt, hedge, traced, opErr)
 				return
 			}
@@ -1556,13 +1594,13 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 				res.packed = growBytes(res.packed, ((count+3)/4)*bytesPerGroup)
 				if err := gpu.CopyFromDeviceNow(sc.stream, sl.pairs, res.packed, 0, sl); err != nil {
 					e.pools.putResult(res)
-					release()
+					sl.release()
 					e.batchFault(idx, b, dev, attempt, hedge, traced, err)
 					return
 				}
 			}
 			e.batchOK(dev, b, hedge)
-			release()
+			sl.release()
 			e.deliverResult(b, res, hedge)
 			e.batchUnref(b)
 			idx.dispatching.Done()
@@ -1581,32 +1619,10 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	// depth batches ride the stream in flight at once.
 	sc.enqMu.Lock()
 	enqueueQueries()
-	sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
-	sc.stream.CallbackErr(func(opErr error) {
-		settleWin(opErr != nil)
-		if opErr != nil {
-			sl.fault = opErr
-			return
-		}
-		rawCount := atomic.LoadUint32(&sl.hdr.Data()[0])
-		rawOver := atomic.LoadUint32(&sl.hdr.Data()[1])
-		count, overflow := clampCount(rawCount, rawOver, e.cfg.MaxPairsPerBatch)
-		res := e.pools.getResult()
-		res.idx, res.batch, res.count, res.overflow = idx, b, count, overflow
-		if !overflow {
-			res.kind = payloadPacked
-		}
-		sl.res = res
-	})
-	gpu.CopyFromDeviceGated(sc.stream, sl.pairs, func() ([]byte, int) {
-		res := sl.res
-		if res == nil || res.overflow || res.count == 0 {
-			return nil, 0
-		}
-		res.packed = growBytes(res.packed, ((res.count+3)/4)*bytesPerGroup)
-		return res.packed, 0
-	}, sl)
-	sc.stream.CallbackErr(complete)
+	sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, sl.kernel, sl)
+	sc.stream.CallbackErr(sl.onHeaderFn)
+	gpu.CopyFromDeviceGated(sc.stream, sl.pairs, sl.resultDstFn, sl)
+	sc.stream.CallbackErr(sl.completeFn)
 	sc.enqMu.Unlock()
 }
 
@@ -1818,19 +1834,11 @@ func (e *Engine) reduceOne(res *batchResult) {
 				pc.Overflows.Add(1)
 			}
 		}
-		if !e.cfg.ScalarKernel && idx.groups != nil {
-			// Host-side bit-sliced match: same flavor as the device
-			// kernel, so counters and parity hold across fallbacks.
-			nG := (int(p.n) + 63) / 64
-			e.obs.Kernel.SlicedBatches.Add(1)
-			cpuMatchBatchSliced(idx.groups[p.grpOff:int(p.grpOff)+nG], int(p.off),
-				b.sigs, !e.cfg.DisablePrefilter, pc, &e.obs.Kernel, visit)
-		} else {
-			sets := idx.sets[p.off : p.off+p.n]
-			e.obs.Kernel.ScalarBatches.Add(1)
-			sc.qIdx = cpuMatchBatch(sets, int(p.off), b.sigs, e.cfg.BlockDim,
-				!e.cfg.DisablePrefilter, pc, sc.qIdx, visit)
-		}
+		// Host-side bit-sliced match: same flavor as the device kernel,
+		// so counters and parity hold across fallbacks.
+		e.obs.Kernel.SlicedBatches.Add(1)
+		cpuMatchBatchSliced(idx.groups[p.grpOff:int(p.grpOff)+p.nGroups()], int(p.off),
+			b.sigs, !e.cfg.DisablePrefilter, pc, &e.obs.Kernel, visit)
 	case payloadPacked:
 		decodePacked(res.packed, res.count, visit)
 	case payloadSplit:

@@ -132,7 +132,6 @@ func (ep *enginePools) putResult(r *batchResult) {
 type reduceScratch struct {
 	keys    [][]Key // per batch slot; appended to under no lock
 	touched []uint8 // slots with at least one key, in first-touch order
-	qIdx    []uint8 // cpuMatchBatch per-block surviving-query scratch
 }
 
 func (ep *enginePools) getScratch(batchSize int) *reduceScratch {

@@ -96,11 +96,11 @@ type Config struct {
 	// Defaults to 16×BatchSize.
 	MaxPairsPerBatch int
 
-	// Replicate replicates the tagset table on every device so that any
-	// stream can serve any partition (maximal inter-GPU parallelism).
-	// When false, partitions are spread across devices round-robin and
-	// each batch must use a stream of the owning device. Defaults true
-	// (set by DefaultConfig).
+	// Replicate replicates the transposed index on every device so that
+	// any stream can serve any partition (maximal inter-GPU
+	// parallelism). When false, partitions are spread across devices
+	// round-robin and each batch must use a stream of the owning device.
+	// Defaults true (set by DefaultConfig).
 	Replicate bool
 
 	// DisablePrefilter turns off the thread-block common-prefix
@@ -174,17 +174,6 @@ type Config struct {
 	// mask (ablation; the preprocess benchmark measures the two paths
 	// against each other). Results are identical either way.
 	ScalarRouting bool
-
-	// ScalarKernel replaces the bit-sliced (column-transposed)
-	// subset-match kernel with the retained scalar per-thread kernel of
-	// Algorithms 3 and 4 — one set per thread, three word operations per
-	// subset check (ablation; the kernel benchmark measures the two
-	// flavors against each other, and the differential tests hold them
-	// to exact pair-for-pair parity). A scalar-kernel engine skips
-	// building and uploading the transposed group index entirely, so it
-	// also reproduces the pre-sliced memory footprint. Results are
-	// identical either way.
-	ScalarKernel bool
 
 	// DisablePooling turns off the hot-path buffer recycling (query
 	// structs, batches, result carriers, reduce scratch), allocating
@@ -383,11 +372,10 @@ type Stats struct {
 	RouteAppends    int64 `json:"route_appends"`
 
 	// Subset-match kernel counters (mirrors of obs.KernelCounters):
-	// batches executed per kernel flavor, group-gate effectiveness
-	// (KernelGatePruned / KernelGateChecks is the gate hit rate), and
-	// the column words touched by the bit-sliced walk.
+	// batches executed by the bit-sliced kernel, group-gate
+	// effectiveness (KernelGatePruned / KernelGateChecks is the gate hit
+	// rate), and the column words touched by the bit-sliced walk.
 	KernelSliced        int64 `json:"kernel_sliced"`
-	KernelScalar        int64 `json:"kernel_scalar"`
 	KernelGateChecks    int64 `json:"kernel_gate_checks"`
 	KernelGatePruned    int64 `json:"kernel_gate_pruned"`
 	KernelGroupScans    int64 `json:"kernel_group_scans"`
@@ -487,26 +475,24 @@ type MatchResult struct {
 // partition is one entry of the partition table: the defining mask and the
 // half-open range [off, off+n) of the consolidated tagset table.
 type partition struct {
-	mask   bitvec.Vector
-	off    uint32 // offset in the global flat tagset table
-	n      uint32
-	dev    int    // owning device index when not replicating
-	devOff uint32 // offset in the owning device's shard (partitioned mode)
+	mask bitvec.Vector
+	off  uint32 // offset in the global flat tagset table
+	n    uint32
+	dev  int // owning device index when not replicating
 
 	// Offsets of the partition's ⌈n/64⌉ bit-sliced groups in the flat
-	// transposed index (index.groups / the device group buffers); local
-	// set i lives in lane i%64 of group grpOff+i/64. devGrpOff is the
-	// per-device analogue of devOff in partitioned mode. Both are zero
-	// when the engine runs the scalar kernel (no transposed index).
+	// transposed index (index.groups / the replicated device buffers);
+	// local set i lives in lane i%64 of group grpOff+i/64. devGrpOff is
+	// the offset in the owning device's shard in partitioned mode.
 	grpOff    uint32
 	devGrpOff uint32
 
 	// ext is the partition's device extent: 0 for the base shard
 	// uploaded by the last full build, e>0 for the e-th extent buffer
-	// appended by an incremental fold (index.devExts[dev][e-1], see
-	// adoptDevices). When ext > 0, devOff/devGrpOff index into the
-	// extent buffer — in replicate mode too, where base partitions use
-	// the global offsets instead.
+	// appended by an incremental fold (index.devGrpExts[dev][e-1], see
+	// adoptDevices). When ext > 0, devGrpOff indexes into the extent
+	// buffer — in replicate mode too, where base partitions use grpOff
+	// instead.
 	ext uint32
 
 	batch *openBatch // current filling batch; guarded by the partition lock
@@ -518,3 +504,7 @@ type partition struct {
 	// P partitions when only a handful have traffic.
 	dirty bool
 }
+
+// nGroups returns the number of 64-lane bit-sliced groups holding the
+// partition's sets.
+func (p *partition) nGroups() int { return (int(p.n) + 63) / 64 }

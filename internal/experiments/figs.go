@@ -333,7 +333,7 @@ func Fig9(p Params) *Table {
 		closeDevices(devs)
 	}
 	t.Add("Host (key table + index)", host...)
-	t.Add("GPUs (tagset tables)", dev0...)
+	t.Add("GPUs (transposed tagset tables)", dev0...)
 	t.Note("paper shape: both linear; host dominated by the key table, GPU by the tagset table")
 	return t
 }

@@ -2,34 +2,34 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"runtime"
+	"sync"
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/core"
 	"tagmatch/internal/gpu"
 )
 
-// KernelRun is one end-to-end engine measurement of the match-kernel
-// comparison: the kernel flavor, the achieved throughput, and — for the
-// sliced flavor — the group-gate and column-walk telemetry.
+// KernelRun is the end-to-end engine measurement of the match-kernel
+// experiment: the achieved throughput of the shipping (bit-sliced)
+// engine and its group-gate and column-walk telemetry.
 type KernelRun struct {
-	Kernel  string    `json:"kernel"` // "scalar" or "sliced"
 	QPS     float64   `json:"qps"`
 	RunsQPS []float64 `json:"runs_qps"`
 	Keys    int64     `json:"keys"`
 
-	GateChecks    int64 `json:"gate_checks,omitempty"`
-	GatePruned    int64 `json:"gate_pruned,omitempty"`
-	GroupScans    int64 `json:"group_scans,omitempty"`
-	ColumnsWalked int64 `json:"columns_walked,omitempty"`
+	GateChecks    int64 `json:"gate_checks"`
+	GatePruned    int64 `json:"gate_pruned"`
+	GroupScans    int64 `json:"group_scans"`
+	ColumnsWalked int64 `json:"columns_walked"`
 }
 
-// KernelResult is the JSON shape of the match-kernel before/after
-// comparison (BENCH_kernel.json): the isolated subset-match kernel cost
-// per query for the scalar per-thread kernel vs. the bit-sliced
-// column-transposed kernel, end-to-end throughput of engines using each
-// flavor, and the correctness re-checks the sliced path must pass.
+// KernelResult is the JSON shape of the match-kernel comparison
+// (BENCH_kernel.json): the isolated subset-match kernel cost per query
+// for the scalar per-thread kernel (kept as a reference oracle) vs. the
+// bit-sliced column-transposed kernel the engine ships, the end-to-end
+// throughput of the engine, and the correctness re-checks it must pass.
 type KernelResult struct {
 	Partitions int `json:"partitions"`
 	Batches    int `json:"batches"`
@@ -41,15 +41,18 @@ type KernelResult struct {
 	// bit-sliced kernel is ≥ 2.
 	Speedup float64 `json:"kernel_speedup"`
 
+	// ExpectedKeys is the brute-force key count of the end-to-end query
+	// stream: for every query, one key per database signature it
+	// contains.
+	ExpectedKeys int64 `json:"expected_keys"`
 	// ResultsMatch: both kernel flavors emitted exactly the brute-force
 	// reference pairs in the isolated benchmark AND the end-to-end
-	// engines returned the same number of matched keys.
+	// engine returned exactly ExpectedKeys matched keys.
 	ResultsMatch bool `json:"results_match"`
-	// ChaosResultsMatch: a sliced-kernel engine under injected GPU
-	// faults (one device death plus 5% op faults on survivors, the
-	// chaos experiment's fault plan) still produced exactly the healthy
-	// sliced engine's matched keys — the degradation ladder's CPU
-	// re-runs use the sliced host path too.
+	// ChaosResultsMatch: the engine under injected GPU faults (one
+	// device death plus 5% op faults on survivors, the chaos
+	// experiment's fault plan) still returned exactly ExpectedKeys — the
+	// degradation ladder's CPU re-runs use the sliced host path too.
 	ChaosResultsMatch bool `json:"chaos_results_match"`
 
 	// Work telemetry from the isolated parity pass: how often the
@@ -58,16 +61,17 @@ type KernelResult struct {
 	GatePruneRate  float64 `json:"gate_prune_rate"`
 	ColumnsPerScan float64 `json:"columns_per_scan"`
 
-	E2E []KernelRun `json:"e2e"`
+	E2E KernelRun `json:"e2e"`
 }
 
-// Kernel measures the subset-match kernel overhaul: the bit-sliced
-// column-transposed kernel against the retained scalar per-thread
-// kernel, first in isolation (core.KernelBenchmark: identical routing,
-// batching, and result path; only the match loop differs), then end to
-// end through engines differing only in Config.ScalarKernel, and
-// finally re-checking exactness of the sliced path under the chaos
-// experiment's fault plan. Medians of repeated runs are reported.
+// Kernel measures the subset-match kernel: the bit-sliced
+// column-transposed kernel against the scalar per-thread kernel of
+// Algorithms 3 and 4 in isolation (core.KernelBenchmark: identical
+// routing, batching, and result path; only the match loop differs),
+// then the end-to-end throughput of the engine, which runs the sliced
+// kernel only, and finally its exactness under the chaos experiment's
+// fault plan. Both engine runs are checked against a brute-force key
+// count. Medians of repeated runs are reported.
 func Kernel(p Params) (*Table, *KernelResult) {
 	ds := BuildDataset(p)
 
@@ -112,74 +116,51 @@ func Kernel(p Params) (*Table, *KernelResult) {
 	t := &Table{
 		ID:    "kernel",
 		Title: "Bit-sliced subset-match kernel: kernel cost and end-to-end throughput",
-		Cols:  []string{"kernel ns/q", "Kq/s"},
+		Cols:  []string{"kernel ns/q", "e2e Kq/s"},
 	}
 
-	// End-to-end: identical engines, identical query stream, only the
-	// kernel flavor differs.
 	sigs, keys := ds.Slice(0.25)
 	queries := ds.Queries(4096, 0.25, -1, p.Seed+5000)
-	for _, flavor := range []struct {
-		name   string
-		scalar bool
-	}{{"scalar", true}, {"sliced", false}} {
-		eng, devs, err := BuildEngine(EngineSpec{
-			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs,
-			MaxP:   ds.BaseMaxP(),
-			Mutate: func(c *core.Config) { c.ScalarKernel = flavor.scalar },
-		})
-		if err != nil {
-			panic(err)
-		}
-		run := KernelRun{Kernel: flavor.name}
-		var qps []float64
-		for rep := 0; rep < reps; rep++ {
-			r := MeasureEngine(eng, queries, p.Queries, false)
-			qps = append(qps, r.QPS)
-			run.RunsQPS = append(run.RunsQPS, r.QPS)
-			run.Keys = r.Keys
-		}
-		st := eng.Stats()
-		run.GateChecks, run.GatePruned = st.KernelGateChecks, st.KernelGatePruned
-		run.GroupScans, run.ColumnsWalked = st.KernelGroupScans, st.KernelColumnsWalked
-		eng.Close()
-		closeDevices(devs)
-		run.QPS = medianFloat(qps)
-		res.E2E = append(res.E2E, run)
-
-		nsPerQ := scMed
-		if !flavor.scalar {
-			nsPerQ = slMed
-		}
-		t.Add(fmt.Sprintf("%s kernel", flavor.name), nsPerQ, run.QPS/1e3)
+	res.ExpectedKeys = bruteForceKeys(sigs, queries, p.Queries)
+	eng, devs, err := BuildEngine(EngineSpec{
+		Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs,
+		MaxP: ds.BaseMaxP(),
+	})
+	if err != nil {
+		panic(err)
 	}
-	res.ResultsMatch = parity &&
-		len(res.E2E) == 2 && res.E2E[0].Keys == res.E2E[1].Keys
+	run := &res.E2E
+	res.ResultsMatch = parity
+	for rep := 0; rep < reps; rep++ {
+		r := MeasureEngine(eng, queries, p.Queries, false)
+		run.RunsQPS = append(run.RunsQPS, r.QPS)
+		run.Keys = r.Keys
+		res.ResultsMatch = res.ResultsMatch && r.Keys == res.ExpectedKeys
+	}
+	st := eng.Stats()
+	run.GateChecks, run.GatePruned = st.KernelGateChecks, st.KernelGatePruned
+	run.GroupScans, run.ColumnsWalked = st.KernelGroupScans, st.KernelColumnsWalked
+	eng.Close()
+	closeDevices(devs)
+	run.QPS = medianFloat(run.RunsQPS)
+	t.Add("scalar kernel (oracle)", scMed)
+	t.Add("sliced kernel", slMed, run.QPS/1e3)
 
-	// Chaos re-check on the sliced path: the chaos experiment's fault
-	// plan (device 0 dies mid-run, survivors drop 5% of ops) against a
-	// healthy twin, both sliced. Exactness must survive the retry and
-	// CPU-fallback ladder with the transposed kernel in the loop.
+	// Chaos re-check: the chaos experiment's fault plan (device 0 dies
+	// mid-run, survivors drop 5% of ops). Exactness must survive the
+	// retry and CPU-fallback ladder with the transposed kernel in the
+	// loop.
 	gpus := p.GPUs
 	if gpus < 2 {
 		gpus = 2
 	}
-	buildSliced := func() (*core.Engine, []*gpu.Device) {
-		eng, devs, err := BuildEngine(EngineSpec{
-			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: gpus,
-			MaxP: ds.BaseMaxP(),
-		})
-		if err != nil {
-			panic(err)
-		}
-		return eng, devs
+	fEng, fDevs, err := BuildEngine(EngineSpec{
+		Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: gpus,
+		MaxP: ds.BaseMaxP(),
+	})
+	if err != nil {
+		panic(err)
 	}
-	hEng, hDevs := buildSliced()
-	h := MeasureEngine(hEng, queries, p.Queries, false)
-	hEng.Close()
-	closeDevices(hDevs)
-
-	fEng, fDevs := buildSliced()
 	fDevs[0].SetFaultPlan(&gpu.FaultPlan{Seed: p.Seed, DieAtOp: 2000})
 	for _, d := range fDevs[1:] {
 		d.SetFaultPlan(&gpu.FaultPlan{
@@ -192,25 +173,56 @@ func Kernel(p Params) (*Table, *KernelResult) {
 	fSt := fEng.Stats()
 	fEng.Close()
 	closeDevices(fDevs)
-	res.ChaosResultsMatch = h.Keys == f.Keys
+	res.ChaosResultsMatch = f.Keys == res.ExpectedKeys
 
 	t.Note("match kernel: %.0f ns/q scalar -> %.0f ns/q sliced (%.1fx) over %d partitions, %d batches; median of %d runs",
 		scMed, slMed, res.Speedup, res.Partitions, res.Batches, reps)
 	t.Note("group gate pruned %.1f%% of (group,query) tests; survivors walked %.1f of %d columns",
 		res.GatePruneRate*100, res.ColumnsPerScan, bitvec.W)
 	if res.ResultsMatch {
-		t.Note("results exact: kernel parity vs brute force and equal keys across flavors (%d)", res.E2E[1].Keys)
+		t.Note("results exact: kernel parity vs brute force and engine keys equal the brute-force count (%d)", res.ExpectedKeys)
 	} else {
-		t.Note("RESULT MISMATCH: parity=%v scalar_keys=%d sliced_keys=%d",
-			parity, res.E2E[0].Keys, res.E2E[1].Keys)
+		t.Note("RESULT MISMATCH: parity=%v engine_keys=%d brute_force_keys=%d",
+			parity, run.Keys, res.ExpectedKeys)
 	}
 	if res.ChaosResultsMatch {
-		t.Note("chaos re-check: sliced path exact under faults (%d keys, %d cpu_fallbacks, %d retries)",
-			h.Keys, fSt.CPUFallbacks, fSt.BatchRetries)
+		t.Note("chaos re-check: exact under faults (%d keys, %d cpu_fallbacks, %d retries)",
+			f.Keys, fSt.CPUFallbacks, fSt.BatchRetries)
 	} else {
-		t.Note("CHAOS MISMATCH on sliced path: healthy=%d faulty=%d keys", h.Keys, f.Keys)
+		t.Note("CHAOS MISMATCH: brute force=%d faulty=%d keys", res.ExpectedKeys, f.Keys)
 	}
 	return t, res
+}
+
+// bruteForceKeys is the reference key count of a stream of n queries
+// cycling through queries over a database holding one key per
+// signature: every (query, signature) subset pair yields one key.
+func bruteForceKeys(sigs, queries []bitvec.Vector, n int) int64 {
+	if len(queries) == 0 {
+		return 0
+	}
+	perQuery := make([]int64, len(queries))
+	var wg sync.WaitGroup
+	workers := runtime.GOMAXPROCS(0)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for qi := w; qi < len(queries); qi += workers {
+				for _, s := range sigs {
+					if s.SubsetOf(queries[qi]) {
+						perQuery[qi]++
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total int64
+	for i := 0; i < n; i++ {
+		total += perQuery[i%len(queries)]
+	}
+	return total
 }
 
 // WriteJSON writes the result as indented JSON.

@@ -2,9 +2,9 @@ package obs
 
 import "sync/atomic"
 
-// KernelCounters instruments the subset-match stage: which kernel
-// flavor executed each batch and how much work the bit-sliced walk
-// actually did. Like FaultCounters and RoutingCounters they are NOT
+// KernelCounters instruments the subset-match stage: how many batches
+// the bit-sliced kernel executed and how much work its walk actually
+// did. Like FaultCounters and RoutingCounters they are NOT
 // gated by Pipeline.On — they feed the engine's Stats and the
 // kernel-parity regression tests — and the kernels accumulate them in
 // locals, flushing one bulk atomic add per thread block (per batch on
@@ -13,10 +13,6 @@ type KernelCounters struct {
 	// SlicedBatches counts batch subset matches executed by the
 	// bit-sliced (column-transposed) kernel, on device or host.
 	SlicedBatches atomic.Int64
-	// ScalarBatches counts batch subset matches executed by the
-	// retained scalar per-thread kernel (Config.ScalarKernel, and the
-	// host fallback of a scalar-configured engine).
-	ScalarBatches atomic.Int64
 	// GateChecks counts (group, query) gate tests; GatePruned counts
 	// those that discarded the group's 64 sets with the single
 	// three-word intersection test. GatePruned / GateChecks is the
@@ -41,7 +37,6 @@ type KernelCounters struct {
 // KernelSnapshot is the JSON-facing view of KernelCounters.
 type KernelSnapshot struct {
 	SlicedBatches int64        `json:"sliced_batches"`
-	ScalarBatches int64        `json:"scalar_batches"`
 	GateChecks    int64        `json:"gate_checks"`
 	GatePruned    int64        `json:"gate_pruned"`
 	GroupScans    int64        `json:"group_scans"`
@@ -53,7 +48,6 @@ type KernelSnapshot struct {
 func (k *KernelCounters) Snapshot() KernelSnapshot {
 	return KernelSnapshot{
 		SlicedBatches: k.SlicedBatches.Load(),
-		ScalarBatches: k.ScalarBatches.Load(),
 		GateChecks:    k.GateChecks.Load(),
 		GatePruned:    k.GatePruned.Load(),
 		GroupScans:    k.GroupScans.Load(),
@@ -67,9 +61,6 @@ func (k *KernelCounters) writeProm(w *PromWriter) {
 	w.Counter("tagmatch_kernel_batches_total",
 		"Batch subset matches executed, by kernel flavor.",
 		Labels{{"flavor", "sliced"}}, float64(k.SlicedBatches.Load()))
-	w.Counter("tagmatch_kernel_batches_total",
-		"Batch subset matches executed, by kernel flavor.",
-		Labels{{"flavor", "scalar"}}, float64(k.ScalarBatches.Load()))
 	w.Counter("tagmatch_kernel_gate_checks_total",
 		"(group, query) group-gate intersection tests in the sliced kernel.",
 		nil, float64(k.GateChecks.Load()))

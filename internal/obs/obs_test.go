@@ -332,7 +332,6 @@ func TestPipelineSnapshotAndProm(t *testing.T) {
 func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	p := New(Options{})
 	p.Kernel.SlicedBatches.Add(3)
-	p.Kernel.ScalarBatches.Add(1)
 	p.Kernel.GateChecks.Add(10)
 	p.Kernel.GatePruned.Add(4)
 	p.Kernel.GroupScans.Add(6)
@@ -341,7 +340,7 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 
 	snap := p.Snapshot(false)
 	k := snap.Kernel
-	if k.SlicedBatches != 3 || k.ScalarBatches != 1 || k.GateChecks != 10 ||
+	if k.SlicedBatches != 3 || k.GateChecks != 10 ||
 		k.GatePruned != 4 || k.GroupScans != 6 || k.ColumnsWalked != 90 {
 		t.Fatalf("kernel snapshot = %+v", k)
 	}
@@ -354,7 +353,6 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`tagmatch_kernel_batches_total{flavor="sliced"} 3`,
-		`tagmatch_kernel_batches_total{flavor="scalar"} 1`,
 		`tagmatch_kernel_gate_checks_total 10`,
 		`tagmatch_kernel_gate_pruned_total 4`,
 		`tagmatch_kernel_group_scans_total 6`,
@@ -367,6 +365,10 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	}
 	if strings.Count(out, "# TYPE tagmatch_kernel_batches_total counter") != 1 {
 		t.Fatalf("duplicate kernel family header:\n%s", out)
+	}
+	// The engine runs one kernel flavor; no scalar series is exported.
+	if strings.Contains(out, `tagmatch_kernel_batches_total{flavor="scalar"}`) {
+		t.Fatalf("dead scalar kernel series exported:\n%s", out)
 	}
 }
 
